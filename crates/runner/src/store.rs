@@ -5,10 +5,15 @@
 //! shard: location + `AnnualConfig`, which embeds the `TrainingConfig`).
 //! Writes go through a temp file and an atomic rename, so a kill can never
 //! leave a torn artifact — the store either has the complete JSON or
-//! nothing.
+//! nothing. Each write has its own temp file (process id plus a
+//! per-process counter), so concurrent writers of one digest — executor
+//! threads, or `--shard` processes sharing a store — never truncate or
+//! rename each other's half-written file; the last rename wins, and every
+//! candidate is complete.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::de::DeserializeOwned;
 use serde::Serialize;
@@ -127,9 +132,11 @@ impl ArtifactStore {
         std::fs::create_dir_all(&dir)?;
         let json = serde_json::to_vec(value)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        let tmp = dir.join(format!("{digest}.json.tmp"));
+        let tmp = dir.join(format!("{digest}.json.{}.{}.tmp", std::process::id(), next_write_id()));
         std::fs::write(&tmp, &json)?;
-        std::fs::rename(&tmp, &path)
+        std::fs::rename(&tmp, &path).inspect_err(|_| {
+            let _ = std::fs::remove_file(&tmp);
+        })
     }
 
     /// Number of complete artifacts under one kind (0 for an absent kind).
@@ -141,6 +148,12 @@ impl ArtifactStore {
                 .count()
         })
     }
+}
+
+/// A process-unique id for one [`ArtifactStore::put`]'s temp file.
+fn next_write_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 #[cfg(test)]
@@ -191,6 +204,42 @@ mod tests {
             store.try_get::<u32>("probe", digest),
             Err(ArtifactError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn concurrent_writers_of_one_digest_never_expose_a_torn_artifact() {
+        // Writers of one digest race through put while readers keep
+        // loading it. With a shared temp name one writer could truncate
+        // or rename another's half-written file; every read must parse.
+        let store = temp_store("concurrent");
+        let digest = stable_digest(&"contended");
+        let payload: Vec<u64> = (0..20_000).collect();
+        store.put("probe", digest, &payload).unwrap();
+        let start = std::sync::Barrier::new(6);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..25 {
+                        store.put("probe", digest, &payload).unwrap();
+                    }
+                });
+            }
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..50 {
+                        let back: Vec<u64> = store
+                            .try_get("probe", digest)
+                            .expect("every concurrent read must parse");
+                        assert_eq!(back.len(), payload.len());
+                    }
+                });
+            }
+        });
+        assert_eq!(store.count("probe"), 1);
+        let leftovers = std::fs::read_dir(store.root().join("probe")).unwrap().count();
+        assert_eq!(leftovers, 1, "no temp file may outlive its put");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use coolair_telemetry::{Event, Telemetry, TEMP_BOUNDS_C};
 use coolair_thermal::{
     CoolingRegime, ItLoad, OutsideConditions, Plant, PlantConfig, SensorReadings, TksController,
 };
-use coolair_units::{Celsius, SimDuration, SimTime, SECS_PER_HOUR};
+use coolair_units::{Celsius, SimDuration, SimTime, Watts, SECS_PER_HOUR};
 use coolair_weather::TmySeries;
 use coolair_workload::{Cluster, Job};
 use serde::{Deserialize, Serialize};
@@ -28,6 +28,15 @@ pub trait Container: std::fmt::Debug {
     fn readings(&self, now: SimTime) -> SensorReadings;
     /// Number of pod sensors.
     fn pods(&self) -> usize;
+    /// Electrical power the cooling units draw under the regime the
+    /// container currently applies; the engine integrates it every physics
+    /// tick. Must equal `self.readings(t).cooling_power` for any `t` (the
+    /// snapshot's time stamp does not enter it). The default builds that
+    /// snapshot; [`Plant`] and [`crate::ModelPlant`] compute it from their
+    /// applied regime without one.
+    fn cooling_power(&self) -> Watts {
+        self.readings(SimTime::EPOCH).cooling_power
+    }
 }
 
 impl Container for Plant {
@@ -45,6 +54,9 @@ impl Container for Plant {
     }
     fn pods(&self) -> usize {
         self.config().layout.len()
+    }
+    fn cooling_power(&self) -> Watts {
+        Plant::cooling_power(self)
     }
 }
 
@@ -64,6 +76,21 @@ impl Container for crate::ModelPlant {
     fn pods(&self) -> usize {
         crate::ModelPlant::pods(self)
     }
+    fn cooling_power(&self) -> Watts {
+        crate::ModelPlant::cooling_power(self)
+    }
+}
+
+/// Rebuilds `it` from the cluster's current server states in place (no
+/// allocation once `it.pod_power` has its pod count) and returns its total.
+///
+/// The cluster changes only at compute ticks (`set_active_target` and
+/// `Cluster::step`), so the tick loops call this right after
+/// `Cluster::step` and reuse the load on every physics tick in between.
+pub(crate) fn refresh_it_load(cluster: &Cluster, it: &mut ItLoad) -> Watts {
+    cluster.write_pod_power(&mut it.pod_power);
+    it.active_fraction = cluster.active_fraction();
+    it.total()
 }
 
 /// Engine parameters.
@@ -300,11 +327,19 @@ impl<P: Container> Simulation<P> {
         let mut rh_violations = 0u64;
         let mut rh_samples = 0u64;
         let mut minutes = Vec::new();
-        // Ring buffer of the last hour of per-sensor samples for the
-        // rate-of-change metric.
+        // Ring of the last hour of per-sensor samples for the
+        // rate-of-change metric: `samples_per_hour` rows of `pods` inlets,
+        // the oldest row at `ring_head` once all rows are filled.
         let samples_per_hour = (SECS_PER_HOUR / self.cfg.sample_period.as_secs()) as usize;
-        let mut hour_ring: Vec<Vec<f64>> = Vec::with_capacity(samples_per_hour);
+        let mut hour_ring = vec![0.0_f64; samples_per_hour * pods];
+        let mut ring_rows = 0usize;
+        let mut ring_head = 0usize;
         let mut max_rate = 0.0_f64;
+        // The IT load only changes at compute ticks; it is rebuilt there and
+        // reused on every physics tick. Building it here too keeps a compute
+        // period that does not divide the warm-up start correct.
+        let mut it = ItLoad { pod_power: Vec::with_capacity(pods), active_fraction: 0.0 };
+        let mut it_total = refresh_it_load(&self.cluster, &mut it);
 
         let cycles_before = self.cluster.total_power_cycles();
         let jobs_before = self.cluster.completed_jobs();
@@ -332,18 +367,17 @@ impl<P: Container> Simulation<P> {
                         let demand = self.cluster.demand(t);
                         let covering = self.cluster.config().covering_count;
                         let (target, order) = ca.decide_compute(demand, covering);
-                        let order = order.to_vec();
-                        self.cluster.set_active_target(target, Some(&order));
+                        self.cluster.set_active_target(target, Some(order));
                     }
                     SimController::Supervised(sv) => {
                         let demand = self.cluster.demand(t);
                         let covering = self.cluster.config().covering_count;
                         let (target, order) = sv.decide_compute(demand, covering);
-                        let order = order.to_vec();
-                        self.cluster.set_active_target(target, Some(&order));
+                        self.cluster.set_active_target(target, Some(order));
                     }
                 }
                 self.cluster.step(t, self.cfg.compute_period);
+                it_total = refresh_it_load(&self.cluster, &mut it);
             }
 
             // --- sensing & control --------------------------------------------
@@ -395,8 +429,7 @@ impl<P: Container> Simulation<P> {
             // --- metrics -------------------------------------------------------
             if in_day && (t % self.cfg.sample_period).is_zero() {
                 let readings = self.plant.readings(t);
-                let temps: Vec<f64> = readings.pod_inlets.iter().map(|c| c.value()).collect();
-                for (i, &v) in temps.iter().enumerate() {
+                for (i, v) in readings.pod_inlets.iter().map(|c| c.value()).enumerate() {
                     sensor_min[i] = sensor_min[i].min(v);
                     sensor_max[i] = sensor_max[i].max(v);
                     violation_sum += (v - self.cfg.desired_max.value()).max(0.0);
@@ -410,8 +443,8 @@ impl<P: Container> Simulation<P> {
                     fault_minutes += 1;
                 }
                 if self.telemetry.enabled() {
-                    for &v in &temps {
-                        self.telemetry.observe("inlet_c", v, &TEMP_BOUNDS_C);
+                    for c in &readings.pod_inlets {
+                        self.telemetry.observe("inlet_c", c.value(), &TEMP_BOUNDS_C);
                     }
                     // Fault-window edge detection, at metrics resolution.
                     for (i, w) in self.faults.windows().iter().enumerate() {
@@ -427,13 +460,26 @@ impl<P: Container> Simulation<P> {
                         }
                     }
                 }
-                if hour_ring.len() == samples_per_hour {
-                    let old = hour_ring.remove(0);
-                    for (a, b) in old.iter().zip(temps.iter()) {
-                        max_rate = max_rate.max((b - a).abs());
+                // Overwrite the oldest row once the hour is full, comparing
+                // each sensor against its value an hour ago first.
+                let row = if ring_rows == samples_per_hour {
+                    let row = ring_head;
+                    ring_head = (ring_head + 1) % samples_per_hour;
+                    let old = &hour_ring[row * pods..(row + 1) * pods];
+                    for (a, b) in old.iter().zip(&readings.pod_inlets) {
+                        max_rate = max_rate.max((b.value() - a).abs());
                     }
+                    row
+                } else {
+                    ring_rows += 1;
+                    ring_rows - 1
+                };
+                for (slot, c) in hour_ring[row * pods..(row + 1) * pods]
+                    .iter_mut()
+                    .zip(&readings.pod_inlets)
+                {
+                    *slot = c.value();
                 }
-                hour_ring.push(temps);
 
                 if self.cfg.record_minutes {
                     minutes.push(self.minute_sample(t, &readings));
@@ -445,14 +491,10 @@ impl<P: Container> Simulation<P> {
                 temperature: self.tmy.temperature_at(t),
                 abs_humidity: self.tmy.absolute_humidity_at(t),
             };
-            let it = ItLoad {
-                pod_power: self.cluster.pod_power(),
-                active_fraction: self.cluster.active_fraction(),
-            };
             if in_day {
                 let dt_s = self.cfg.physics_step.as_secs() as f64;
-                cooling_j += self.plant.readings(t).cooling_power.value() * dt_s;
-                it_j += it.total().value() * dt_s;
+                cooling_j += self.plant.cooling_power().value() * dt_s;
+                it_j += it_total.value() * dt_s;
             }
             // Actuator faults sit between command and plant: the controller
             // believes `self.regime` is in force, the hardware does this.

@@ -34,12 +34,13 @@ use coolair_thermal::{
     CoolingRegime, Infrastructure, ItLoad, OutsideConditions, Plant, PlantConfig, SensorReadings,
     TksConfig, TksController,
 };
-use coolair_units::{Celsius, SimDuration, SimTime, SECS_PER_HOUR};
+use coolair_units::{Celsius, SimDuration, SimTime, Watts, SECS_PER_HOUR};
 use coolair_weather::{Location, TmySeries};
 use coolair_workload::{Cluster, ClusterConfig, Job, Trace};
 use serde::{Deserialize, Serialize};
 
 use crate::annual::{build_trace, AnnualConfig};
+use crate::engine::refresh_it_load;
 use crate::faults::FaultPlan;
 use crate::scenario::Scenario;
 
@@ -282,6 +283,11 @@ pub struct Episode {
     next_job: usize,
     jobs_loaded_through: u64,
     active_target: usize,
+    /// The cluster's IT load and its total, rebuilt at each compute tick
+    /// and reused on the physics ticks between (decision windows need not
+    /// align with compute periods, so the cache outlives one window).
+    it: ItLoad,
+    it_total: Watts,
     t: SimTime,
     end: SimTime,
     step_index: u64,
@@ -329,12 +335,15 @@ impl Episode {
         );
         let mut pending = trace.jobs_for_day(spec.start_day);
         pending.sort_by_key(|j| j.submit);
+        let cluster = Cluster::new(cluster_config);
+        let mut it = ItLoad { pod_power: Vec::new(), active_fraction: 0.0 };
+        let it_total = refresh_it_load(&cluster, &mut it);
 
         let mut episode = Episode {
             engine: cfg.engine.clone(),
             desired_max: cfg.engine.desired_max,
             plant: Plant::new(plant_config),
-            cluster: Cluster::new(cluster_config),
+            cluster,
             tks: TksController::new(TksConfig::baseline()),
             tmy,
             trace,
@@ -345,6 +354,8 @@ impl Episode {
             next_job: 0,
             jobs_loaded_through: spec.start_day,
             active_target: total_servers,
+            it,
+            it_total,
             t: warmup_start,
             end: midnight + SimDuration::from_days(spec.horizon_days),
             step_index: 0,
@@ -502,6 +513,7 @@ impl Episode {
                 }
                 self.cluster.set_active_target(self.active_target, None);
                 self.cluster.step(t, self.engine.compute_period);
+                self.it_total = refresh_it_load(&self.cluster, &mut self.it);
             }
 
             if (t % self.engine.baseline_control).is_zero() {
@@ -520,17 +532,13 @@ impl Episode {
                 temperature: self.tmy.temperature_at(t),
                 abs_humidity: self.tmy.absolute_humidity_at(t),
             };
-            let it = ItLoad {
-                pod_power: self.cluster.pod_power(),
-                active_fraction: self.cluster.active_fraction(),
-            };
             if record {
                 let dt_s = self.engine.physics_step.as_secs() as f64;
-                cooling_j += self.plant.readings(t).cooling_power.value() * dt_s;
-                it_j += it.total().value() * dt_s;
+                cooling_j += self.plant.cooling_power().value() * dt_s;
+                it_j += self.it_total.value() * dt_s;
             }
             let actual = self.faults.apply_actuator(t, self.regime);
-            self.plant.step(self.engine.physics_step, outside, &it, actual);
+            self.plant.step(self.engine.physics_step, outside, &self.it, actual);
             self.t += self.engine.physics_step;
         }
         (violation, cooling_j / 3.6e6, it_j / 3.6e6)

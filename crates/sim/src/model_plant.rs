@@ -31,7 +31,10 @@ pub struct ModelPlant {
     regime: CoolingRegime,
     prev_fan: f64,
     last_outside: OutsideConditions,
-    last_it: ItLoad,
+    /// Total IT power of the last load (for sensor snapshots).
+    last_it_power: Watts,
+    /// Active fraction of the last load (for sensor snapshots).
+    last_active_fraction: f64,
     /// Model step (the models are trained at 2-minute resolution).
     step: SimDuration,
     /// Time left until the next whole model step.
@@ -57,7 +60,8 @@ impl ModelPlant {
                 temperature: Celsius::new(20.0),
                 abs_humidity: start_abs,
             },
-            last_it: ItLoad::uniform(pods, Watts::ZERO, 0.0),
+            last_it_power: Watts::ZERO,
+            last_active_fraction: 0.0,
             step: SimDuration::from_minutes(2),
             carry: SimDuration::ZERO,
         }
@@ -89,7 +93,8 @@ impl ModelPlant {
         let target = self.infra.sanitize(commanded);
         self.carry += dt;
         self.last_outside = outside;
-        self.last_it = it.clone();
+        self.last_it_power = it.total();
+        self.last_active_fraction = it.active_fraction;
         while self.carry >= self.step {
             self.carry = self.carry - self.step;
             self.advance_one(outside, it, target);
@@ -109,9 +114,10 @@ impl ModelPlant {
                 (fan, None)
             };
         let t_out = outside.temperature.value();
-        let pods = self.pod_temps.len();
-        let mut next = vec![0.0; pods];
-        for (p, slot) in next.iter_mut().enumerate() {
+        // Each pod's prediction is written over its own `prev_temps` entry,
+        // which nothing reads after that pod; the swap below then makes the
+        // predictions current and the old temperatures previous.
+        for p in 0..self.pod_temps.len() {
             let x = temp_features(
                 self.pod_temps[p],
                 self.prev_temps[p],
@@ -138,7 +144,8 @@ impl ModelPlant {
                 predicted = w * predicted + (1.0 - w) * closed;
             }
             // The same sanity clamp the Cooling Predictor applies.
-            *slot = predicted.clamp(self.pod_temps[p] - 12.0, self.pod_temps[p] + 12.0);
+            self.prev_temps[p] =
+                predicted.clamp(self.pod_temps[p] - 12.0, self.pod_temps[p] + 12.0);
         }
         let hx = humidity_features(
             self.abs_humidity,
@@ -146,8 +153,7 @@ impl ModelPlant {
             fan,
         );
         self.abs_humidity = self.model.predict_humidity(key, &hx).clamp(0.0, 40.0);
-        self.prev_temps = std::mem::take(&mut self.pod_temps);
-        self.pod_temps = next;
+        std::mem::swap(&mut self.prev_temps, &mut self.pod_temps);
         self.prev_fan = fan;
         self.regime = target;
     }
@@ -156,6 +162,13 @@ impl ModelPlant {
     #[must_use]
     pub fn applied_regime(&self) -> CoolingRegime {
         self.regime
+    }
+
+    /// Electrical power the cooling units draw under the applied regime —
+    /// [`ModelPlant::readings`]'s `cooling_power` without the snapshot.
+    #[must_use]
+    pub fn cooling_power(&self) -> Watts {
+        cooling_power(self.regime, self.infra)
     }
 
     /// Sensor snapshot in the same shape the physics plant produces.
@@ -182,9 +195,9 @@ impl ModelPlant {
                 .map(|&t| Celsius::new(t + 8.0))
                 .collect(),
             regime: self.regime,
-            cooling_power: cooling_power(self.regime, self.infra),
-            it_power: self.last_it.total(),
-            active_fraction: self.last_it.active_fraction,
+            cooling_power: self.cooling_power(),
+            it_power: self.last_it_power,
+            active_fraction: self.last_active_fraction,
         }
     }
 }

@@ -194,8 +194,10 @@ pub struct PlantBank {
     applied: Vec<CoolingRegime>,
     /// Last outside conditions per lane (for sensor snapshots).
     last_outside: Vec<OutsideConditions>,
-    /// Last IT load per lane (for sensor snapshots).
-    last_it: Vec<ItLoad>,
+    /// Total IT power of the last load per lane (for sensor snapshots).
+    last_it_power: Vec<Watts>,
+    /// Active fraction of the last load per lane (for sensor snapshots).
+    last_active_fraction: Vec<f64>,
 }
 
 impl PlantBank {
@@ -220,7 +222,8 @@ impl PlantBank {
                 };
                 lanes
             ],
-            last_it: vec![ItLoad::uniform(pods, Watts::ZERO, 0.0); lanes],
+            last_it_power: vec![Watts::ZERO; lanes],
+            last_active_fraction: vec![0.0; lanes],
             config,
             lanes,
             pods,
@@ -250,6 +253,14 @@ impl PlantBank {
     #[must_use]
     pub fn applied_regime(&self, lane: usize) -> CoolingRegime {
         self.applied[lane]
+    }
+
+    /// Electrical power `lane`'s cooling units draw under the regime they
+    /// currently apply — the same value as the `cooling_power` of
+    /// [`PlantBank::readings_lane`], without building a snapshot.
+    #[must_use]
+    pub fn cooling_power_lane(&self, lane: usize) -> Watts {
+        cooling_power(self.applied[lane], self.config.infrastructure)
     }
 
     /// Forces one lane's interior to a given uniform temperature/humidity —
@@ -438,7 +449,8 @@ impl PlantBank {
         }
 
         self.last_outside[lane] = outside;
-        self.last_it[lane] = it.clone();
+        self.last_it_power[lane] = Watts::new(q_it);
+        self.last_active_fraction[lane] = it.active_fraction;
     }
 
     /// A snapshot of one lane's sensors, stamped with `now`.
@@ -465,9 +477,9 @@ impl PlantBank {
             hot_aisle: Celsius::new(self.hot_aisle[lane]),
             disk_temps: disk_temps.iter().map(|&t| Celsius::new(t)).collect(),
             regime: self.applied[lane],
-            cooling_power: cooling_power(self.applied[lane], self.config.infrastructure),
-            it_power: self.last_it[lane].total(),
-            active_fraction: self.last_it[lane].active_fraction,
+            cooling_power: self.cooling_power_lane(lane),
+            it_power: self.last_it_power[lane],
+            active_fraction: self.last_active_fraction[lane],
         }
     }
 }
@@ -500,6 +512,13 @@ impl Plant {
     #[must_use]
     pub fn applied_regime(&self) -> CoolingRegime {
         self.bank.applied_regime(0)
+    }
+
+    /// Electrical power the cooling units draw under the applied regime —
+    /// [`Plant::readings`]'s `cooling_power` without the snapshot.
+    #[must_use]
+    pub fn cooling_power(&self) -> Watts {
+        self.bank.cooling_power_lane(0)
     }
 
     /// Forces the interior to a given uniform temperature/humidity —

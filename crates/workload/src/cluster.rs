@@ -156,6 +156,8 @@ pub struct Cluster {
     deadline_violations: u64,
     late_starts: u64,
     delays: DelayStats,
+    /// Scratch for [`Cluster::set_active_target`], reused every call.
+    chosen: Vec<bool>,
 }
 
 impl Cluster {
@@ -179,6 +181,7 @@ impl Cluster {
             deadline_violations: 0,
             late_starts: 0,
             delays: DelayStats::default(),
+            chosen: Vec::new(),
         }
     }
 
@@ -234,34 +237,27 @@ impl Cluster {
     /// Panics if `priority` is provided but is not a permutation of server
     /// indices.
     pub fn set_active_target(&mut self, target: usize, priority: Option<&[usize]>) {
-        let default_order: Vec<usize>;
-        let order: &[usize] = match priority {
+        let n = self.servers.len();
+        let target = target.min(n);
+        let chosen = &mut self.chosen;
+        chosen.clear();
+        chosen.resize(n, false);
+        match priority {
             Some(p) => {
-                assert_eq!(p.len(), self.servers.len(), "priority must cover all servers");
-                let mut seen = vec![false; self.servers.len()];
+                assert_eq!(p.len(), n, "priority must cover all servers");
                 for &s in p {
-                    assert!(!seen[s], "priority has duplicate server {s}");
-                    seen[s] = true;
+                    assert!(!chosen[s], "priority has duplicate server {s}");
+                    chosen[s] = true;
                 }
-                p
+                chosen.fill(false);
+                for &s in &p[..target] {
+                    chosen[s] = true;
+                }
             }
-            None => {
-                default_order = (0..self.servers.len()).collect();
-                &default_order
-            }
-        };
-        let target = target.min(self.servers.len());
-        let mut chosen = vec![false; self.servers.len()];
-        for &s in order.iter().take(target) {
-            chosen[s] = true;
-        }
-        for (s, slot) in chosen.iter_mut().enumerate() {
-            if self.config.is_covering(s) {
-                *slot = true;
-            }
+            None => chosen[..target].fill(true),
         }
         for (s, slot) in self.servers.iter_mut().enumerate() {
-            if chosen[s] {
+            if chosen[s] || self.config.is_covering(s) {
                 if slot.state != PowerState::Active {
                     slot.state = PowerState::Active;
                     slot.decommissioned_at = None;
@@ -355,11 +351,12 @@ impl Cluster {
         }
     }
 
-    /// Per-pod electrical power draw given the current states and the busy
-    /// fraction from the last step.
-    #[must_use]
-    pub fn pod_power(&self) -> Vec<Watts> {
-        let mut pods = vec![Watts::ZERO; self.config.pods];
+    /// Writes the per-pod electrical power draw, given the current states
+    /// and the busy fraction from the last step, into `pods` (replacing its
+    /// contents and reusing its allocation).
+    pub fn write_pod_power(&self, pods: &mut Vec<Watts>) {
+        pods.clear();
+        pods.resize(self.config.pods, Watts::ZERO);
         for (s, slot) in self.servers.iter().enumerate() {
             let p = match slot.state {
                 PowerState::Active => {
@@ -370,13 +367,14 @@ impl Cluster {
             };
             pods[self.config.pod_of(s)] += p;
         }
-        pods
     }
 
     /// Total IT power draw.
     #[must_use]
     pub fn total_power(&self) -> Watts {
-        self.pod_power().into_iter().sum()
+        let mut pods = Vec::new();
+        self.write_pod_power(&mut pods);
+        pods.into_iter().sum()
     }
 
     /// Fraction of servers active (the paper's datacenter "utilization").
