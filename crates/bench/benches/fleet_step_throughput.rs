@@ -1,91 +1,21 @@
-//! Throughput of the fleet layer's two batched paths, merged into
+//! Throughput of the fleet layer's campaign pricing, merged into
 //! `BENCH_perf.json` next to the `perf_components` rows (schema in
-//! EXPERIMENTS.md):
-//!
-//! 1. **SoA plant stepping** — `PlantBank::step_all` at N ∈ {1, 64, 512}
-//!    lanes, reported as ns per step plus derived per-container ns and
-//!    containers-stepped-per-second rates.
-//! 2. **Campaign pricing** — a 512-container fleet-year through
-//!    `run_fleet_with` versus one container simulated for one day. Lane
-//!    batching prices every container in a (site, load) class with a
-//!    single evaluation, so the fleet-year's per-simulated-day cost must
-//!    land far under 512 independent day sims; the acceptance bar is
-//!    < 20× a single-container day per simulated day (a ≥ 25× win over
-//!    naive N independent runs), asserted here and tracked by the perf
-//!    gate via the `day_cost_vs_single_x` row.
+//! EXPERIMENTS.md): a 512-container fleet-year through `run_fleet_with`
+//! versus one container simulated for one day. Lane batching prices every
+//! container in a (site, load) class with a single evaluation, so the
+//! fleet-year's per-simulated-day cost must land far under 512 independent
+//! day sims; the acceptance bar is < 20× a single-container day per
+//! simulated day (a ≥ 25× win over naive N independent runs), asserted
+//! here and tracked by the perf gate via the `day_cost_vs_single_x` row.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use criterion::{criterion_group, Criterion};
-
-use coolair_bench::perf::{entries_from_criterion, merge_into_report, report_path, PerfEntry};
+use coolair_bench::perf::{merge_into_report, report_path, PerfEntry};
 use coolair_fleet::{run_fleet_with, FleetSpec};
 use coolair_runner::Executor;
 use coolair_sim::{run_days_loaded, train_for_location};
 use coolair_telemetry::Telemetry;
-use coolair_thermal::{CoolingRegime, ItLoad, OutsideConditions, PlantBank, PlantConfig};
-use coolair_units::{psychro, Celsius, FanSpeed, RelativeHumidity, SimDuration, Watts};
-
-/// Bank widths under test: a lone container, the shipped fleet, and the
-/// acceptance-scale campus.
-const LANES: [usize; 3] = [1, 64, 512];
-
-fn bench_bank_step(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fleet_step");
-    for n in LANES {
-        let mut bank = PlantBank::new(PlantConfig::parasol(), n);
-        let outside = vec![
-            OutsideConditions {
-                temperature: Celsius::new(12.0),
-                abs_humidity: psychro::absolute_humidity(
-                    Celsius::new(12.0),
-                    RelativeHumidity::new(60.0),
-                ),
-            };
-            n
-        ];
-        let it = vec![ItLoad::uniform(bank.pods(), Watts::new(125.0), 0.27); n];
-        let commanded = vec![CoolingRegime::free_cooling(FanSpeed::new(0.5).unwrap()); n];
-        group.bench_function(&format!("step_all_n{n}"), |b| {
-            b.iter(|| {
-                bank.step_all(
-                    SimDuration::from_secs(15),
-                    black_box(&outside),
-                    &it,
-                    &commanded,
-                );
-            });
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_bank_step);
-
-/// Derives per-container latency and containers-stepped-per-second rows
-/// from the raw `step_all_nN` medians.
-fn derived_step_rows(raw: &[PerfEntry]) -> Vec<PerfEntry> {
-    let mut rows = Vec::new();
-    for n in LANES {
-        let name = format!("fleet_step/step_all_n{n}");
-        let Some(step) = raw.iter().find(|e| e.name == name) else { continue };
-        let per_container = step.median_ns as f64 / n as f64;
-        rows.push(PerfEntry {
-            name: format!("fleet_step/per_container_ns_n{n}"),
-            median_ns: per_container.round() as u64,
-            samples: step.samples,
-            unit: Some("ns".to_string()),
-        });
-        rows.push(PerfEntry {
-            name: format!("fleet_step/containers_per_s_n{n}"),
-            median_ns: (1e9 / per_container.max(1.0)).round() as u64,
-            samples: step.samples,
-            unit: Some("containers/s".to_string()),
-        });
-    }
-    rows
-}
 
 /// Times the 512-container fleet-year and the single-container day it is
 /// measured against, returning the report rows plus the headline ratios.
@@ -156,11 +86,7 @@ fn campaign_rows() -> (Vec<PerfEntry>, f64, f64) {
 }
 
 fn main() {
-    benches();
-    let mut entries = entries_from_criterion(criterion::take_results());
-    entries.extend(derived_step_rows(&entries.clone()));
-
-    let (campaign, per_day_x, naive_speedup) = campaign_rows();
+    let (entries, per_day_x, naive_speedup) = campaign_rows();
     println!(
         "fleet_campaign: one simulated fleet day (512 containers) costs {per_day_x:.1}x a \
          single-container day ({naive_speedup:.0}x over naive independent runs)"
@@ -175,8 +101,6 @@ fn main() {
         "acceptance: lane batching must beat naive independent runs by >= 25x, got \
          {naive_speedup:.0}x"
     );
-    entries.extend(campaign);
-
     let path = report_path();
     match merge_into_report(&path, "fleet_step_throughput", entries) {
         Ok(()) => println!("\nwrote {}", path.display()),

@@ -191,6 +191,9 @@ impl FleetSpec {
         if !(m.min_gain.is_finite() && (0.0..=1.0).contains(&m.min_gain)) {
             problems.push(format!("min_gain must lie in [0, 1], got {}", m.min_gain));
         }
+        if let Err(e) = self.annual.engine.validate() {
+            problems.push(format!("engine: {e}"));
+        }
         if problems.is_empty() {
             Ok(())
         } else {
@@ -225,11 +228,13 @@ mod tests {
         spec.sites.clear();
         spec.loaded_fraction = 1.5;
         spec.migration.deferrable_kw = 0.0;
+        spec.annual.engine.compute_period = coolair_units::SimDuration::ZERO;
         let err = spec.validate().unwrap_err();
         assert!(err.contains("containers"), "missing containers problem: {err}");
         assert!(err.contains("sites"), "missing sites problem: {err}");
         assert!(err.contains("loaded_fraction"), "missing fraction problem: {err}");
         assert!(err.contains("deferrable_kw"), "missing kw problem: {err}");
+        assert!(err.contains("engine: compute_period"), "missing engine problem: {err}");
         assert!(err.matches("; ").count() >= 3, "problems should be joined: {err}");
     }
 

@@ -290,9 +290,9 @@ fn parse_submission(body: &[u8]) -> Result<QueuedJob, String> {
             return Ok(QueuedJob::Learn(Box::new(spec)));
         }
     }
-    AnnualJob::from_value(&value)
-        .map(|job| QueuedJob::Annual(Box::new(job)))
-        .map_err(|e| format!("bad job spec: {e}"))
+    let job = AnnualJob::from_value(&value).map_err(|e| format!("bad job spec: {e}"))?;
+    job.annual.engine.validate().map_err(|e| format!("bad job spec: engine: {e}"))?;
+    Ok(QueuedJob::Annual(Box::new(job)))
 }
 
 fn submit_job(state: &AppState, body: &[u8]) -> Reply {
@@ -719,6 +719,26 @@ mod tests {
             };
             assert_eq!(handle(&state, &req).status(), 405, "{target}");
         }
+    }
+
+    #[test]
+    fn a_zero_engine_period_is_400_not_a_panicking_handler_or_worker() {
+        let (state, _rx) = state_with_depth(1);
+        let mut episode = episode_spec(7);
+        episode.annual.engine.compute_period = coolair_units::SimDuration::ZERO;
+        let body = serde_json::to_vec(&episode).unwrap();
+        assert!(String::from_utf8_lossy(&body).contains("\"compute_period\":0"));
+        let reply = post(&state, "/episodes", &body);
+        assert_eq!(reply.status(), 400);
+        let text = String::from_utf8(body_of(reply)).unwrap();
+        assert!(text.contains("compute_period must be positive"), "{text}");
+
+        let mut job = job_spec(1);
+        job.annual.engine.compute_period = coolair_units::SimDuration::ZERO;
+        let reply = post_jobs(&state, &serde_json::to_vec(&job).unwrap());
+        assert_eq!(reply.status(), 400);
+        let text = String::from_utf8(body_of(reply)).unwrap();
+        assert!(text.contains("bad job spec: engine"), "{text}");
     }
 
     #[test]

@@ -129,6 +129,36 @@ impl AnnualConfig {
     pub fn sampled_days(&self) -> Vec<u64> {
         (0..365).step_by(self.stride.max(1) as usize).collect()
     }
+
+    /// The evaluation simulation for `controller`: the configured plant and
+    /// cluster under `tmy`, with the fault plan installed (shared with the
+    /// episode layer).
+    pub(crate) fn simulation(&self, controller: SimController, tmy: TmySeries) -> Simulation {
+        let mut plant_config = match self.infrastructure {
+            Infrastructure::Parasol => PlantConfig::parasol(),
+            Infrastructure::Smooth => PlantConfig::smooth(),
+        };
+        plant_config.adiabatic_effectiveness = self.adiabatic;
+        if let Some(v) = self.ac_condenser_derate_per_c {
+            plant_config.ac_condenser_derate_per_c = v;
+        }
+        if let Some(v) = self.ac_latent_factor {
+            plant_config.ac_latent_factor = v;
+        }
+        let mut cluster_config = ClusterConfig::parasol();
+        if let Some(covering) = self.covering_count {
+            cluster_config.covering_count = covering.clamp(1, cluster_config.total_servers);
+        }
+        let mut sim = Simulation::new(
+            controller,
+            plant_config,
+            Cluster::new(cluster_config),
+            tmy,
+            self.engine.clone(),
+        );
+        sim.set_fault_plan(self.faults.clone());
+        sim
+    }
 }
 
 /// Builds the day-long trace for a config (shared with the episode layer).
@@ -305,29 +335,7 @@ pub fn run_days_loaded(
         );
     }
 
-    let mut plant_config = match cfg.infrastructure {
-        Infrastructure::Parasol => PlantConfig::parasol(),
-        Infrastructure::Smooth => PlantConfig::smooth(),
-    };
-    plant_config.adiabatic_effectiveness = cfg.adiabatic;
-    if let Some(v) = cfg.ac_condenser_derate_per_c {
-        plant_config.ac_condenser_derate_per_c = v;
-    }
-    if let Some(v) = cfg.ac_latent_factor {
-        plant_config.ac_latent_factor = v;
-    }
-    let mut cluster_config = ClusterConfig::parasol();
-    if let Some(covering) = cfg.covering_count {
-        cluster_config.covering_count = covering.clamp(1, cluster_config.total_servers);
-    }
-    let mut sim = Simulation::new(
-        controller,
-        plant_config,
-        Cluster::new(cluster_config),
-        tmy,
-        cfg.engine.clone(),
-    );
-    sim.set_fault_plan(cfg.faults.clone());
+    let mut sim = cfg.simulation(controller, tmy);
     sim.set_telemetry(telemetry);
 
     let mut days: Vec<DayRecord> = Vec::new();

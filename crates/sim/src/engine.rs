@@ -81,18 +81,6 @@ impl Container for crate::ModelPlant {
     }
 }
 
-/// Rebuilds `it` from the cluster's current server states in place (no
-/// allocation once `it.pod_power` has its pod count) and returns its total.
-///
-/// The cluster changes only at compute ticks (`set_active_target` and
-/// `Cluster::step`), so the tick loops call this right after
-/// `Cluster::step` and reuse the load on every physics tick in between.
-pub(crate) fn refresh_it_load(cluster: &Cluster, it: &mut ItLoad) -> Watts {
-    cluster.write_pod_power(&mut it.pod_power);
-    it.active_fraction = cluster.active_fraction();
-    it.total()
-}
-
 /// Engine parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
@@ -128,6 +116,42 @@ impl Default for SimConfig {
             desired_max: Celsius::new(30.0),
             record_minutes: false,
             warmup_hours: 3,
+        }
+    }
+}
+
+impl SimConfig {
+    /// Checks the engine can run: every period is positive (the tick loop
+    /// schedules by `t % period`), and the metrics sample at least once an
+    /// hour (the rate-of-change metric compares against the sample an hour
+    /// earlier).
+    ///
+    /// # Errors
+    ///
+    /// Returns every problem found, `; `-joined.
+    pub fn validate(&self) -> Result<(), String> {
+        let mut problems = Vec::new();
+        for (name, period) in [
+            ("physics_step", self.physics_step),
+            ("sample_period", self.sample_period),
+            ("observe_period", self.observe_period),
+            ("baseline_control", self.baseline_control),
+            ("compute_period", self.compute_period),
+        ] {
+            if period.is_zero() {
+                problems.push(format!("{name} must be positive"));
+            }
+        }
+        if self.sample_period.as_secs() > SECS_PER_HOUR {
+            problems.push(format!(
+                "sample_period ({} s) must be at most one hour",
+                self.sample_period.as_secs()
+            ));
+        }
+        if problems.is_empty() {
+            Ok(())
+        } else {
+            Err(problems.join("; "))
         }
     }
 }
@@ -172,6 +196,110 @@ pub struct DayOutput {
     pub minutes: Vec<MinuteSample>,
 }
 
+/// The metrics of a recorded span of ticks: a calendar day for
+/// [`Simulation::run_day`], one decision window for an episode. The tick
+/// loop fills it with ground-truth samples every `sample_period` and with
+/// energy every physics tick.
+#[derive(Debug)]
+pub(crate) struct DayAccumulator {
+    sensor_min: Vec<f64>,
+    sensor_max: Vec<f64>,
+    violation_sum: f64,
+    readings: u64,
+    cooling_j: f64, // watt-seconds
+    it_j: f64,
+    rh_violations: u64,
+    rh_samples: u64,
+    fault_minutes: u64,
+    // Ring of the last hour of per-sensor samples for the rate-of-change
+    // metric: `samples_per_hour` rows of `pods` inlets, the oldest row at
+    // `ring_head` once all rows are filled.
+    samples_per_hour: usize,
+    hour_ring: Vec<f64>,
+    ring_rows: usize,
+    ring_head: usize,
+    max_rate: f64,
+    minutes: Vec<MinuteSample>,
+}
+
+impl DayAccumulator {
+    /// An empty accumulator for `pods` sensors sampled every
+    /// `sample_period` (at most an hour; see [`SimConfig::validate`]).
+    fn new(pods: usize, sample_period: SimDuration) -> Self {
+        let samples_per_hour = (SECS_PER_HOUR / sample_period.as_secs()) as usize;
+        DayAccumulator {
+            sensor_min: vec![f64::INFINITY; pods],
+            sensor_max: vec![f64::NEG_INFINITY; pods],
+            violation_sum: 0.0,
+            readings: 0,
+            cooling_j: 0.0,
+            it_j: 0.0,
+            rh_violations: 0,
+            rh_samples: 0,
+            fault_minutes: 0,
+            samples_per_hour,
+            hour_ring: vec![0.0; samples_per_hour * pods],
+            ring_rows: 0,
+            ring_head: 0,
+            max_rate: 0.0,
+            minutes: Vec::new(),
+        }
+    }
+
+    /// Sensor-minutes above the desired maximum, °C·min.
+    pub(crate) fn violation_sum(&self) -> f64 {
+        self.violation_sum
+    }
+
+    /// Cooling energy, kWh.
+    pub(crate) fn cooling_kwh(&self) -> f64 {
+        self.cooling_j / 3.6e6
+    }
+
+    /// IT energy, kWh.
+    pub(crate) fn it_kwh(&self) -> f64 {
+        self.it_j / 3.6e6
+    }
+
+    /// Adds one metrics sample of the plant's ground truth.
+    fn sample(&mut self, readings: &SensorReadings, desired_max: Celsius, fault_active: bool) {
+        let pods = self.sensor_min.len();
+        for (i, v) in readings.pod_inlets.iter().map(|c| c.value()).enumerate() {
+            self.sensor_min[i] = self.sensor_min[i].min(v);
+            self.sensor_max[i] = self.sensor_max[i].max(v);
+            self.violation_sum += (v - desired_max.value()).max(0.0);
+            self.readings += 1;
+        }
+        if readings.cold_aisle_rh.percent() > 80.0 {
+            self.rh_violations += 1;
+        }
+        self.rh_samples += 1;
+        if fault_active {
+            self.fault_minutes += 1;
+        }
+        // Overwrite the oldest row once the hour is full, comparing each
+        // sensor against its value an hour ago first.
+        let row = if self.ring_rows == self.samples_per_hour {
+            let row = self.ring_head;
+            self.ring_head = (self.ring_head + 1) % self.samples_per_hour;
+            let old = &self.hour_ring[row * pods..(row + 1) * pods];
+            for (a, b) in old.iter().zip(&readings.pod_inlets) {
+                self.max_rate = self.max_rate.max((b.value() - a).abs());
+            }
+            row
+        } else {
+            self.ring_rows += 1;
+            self.ring_rows - 1
+        };
+        for (slot, c) in self.hour_ring[row * pods..(row + 1) * pods]
+            .iter_mut()
+            .zip(&readings.pod_inlets)
+        {
+            *slot = c.value();
+        }
+    }
+}
+
 /// The controller under test.
 #[derive(Debug)]
 pub enum SimController {
@@ -214,6 +342,15 @@ pub struct Simulation<P: Container = Plant> {
     stale_inlets: Vec<Celsius>,
     telemetry: Telemetry,
     fault_active: Vec<bool>,
+    /// Time of the next tick.
+    t: SimTime,
+    /// Servers the Baseline arm keeps active: every server unless an
+    /// episode's action says otherwise.
+    active_target: usize,
+    /// The cluster's IT load and its total, rebuilt at each compute tick
+    /// and reused on the physics ticks between.
+    it: ItLoad,
+    it_total: Watts,
 }
 
 impl Simulation<Plant> {
@@ -240,6 +377,8 @@ impl<P: Container> Simulation<P> {
         tmy: TmySeries,
         cfg: SimConfig,
     ) -> Self {
+        let pods = plant.pods();
+        let active_target = cluster.config().total_servers;
         Simulation {
             cfg,
             plant,
@@ -253,6 +392,10 @@ impl<P: Container> Simulation<P> {
             stale_inlets: Vec::new(),
             telemetry: Telemetry::disabled(),
             fault_active: Vec::new(),
+            t: SimTime::EPOCH,
+            active_target,
+            it: ItLoad { pod_power: Vec::with_capacity(pods), active_fraction: 0.0 },
+            it_total: Watts::new(0.0),
         }
     }
 
@@ -307,51 +450,101 @@ impl<P: Container> Simulation<P> {
         let _day_scope = self.telemetry.time_scope("engine.run_day");
         let _guard = self.telemetry.panic_guard();
         self.telemetry.emit_with(|| Event::DayStart { day });
-        self.pending = jobs;
-        self.pending.sort_by_key(|j| j.submit);
-        self.next_job = 0;
-
         let midnight = SimTime::from_days(day);
         let start = SimTime::from_secs(
             midnight.as_secs().saturating_sub(self.cfg.warmup_hours * SECS_PER_HOUR),
         );
         let end = midnight + SimDuration::from_days(1);
-
-        let pods = self.plant.pods();
-        let mut sensor_min = vec![f64::INFINITY; pods];
-        let mut sensor_max = vec![f64::NEG_INFINITY; pods];
-        let mut violation_sum = 0.0;
-        let mut readings_count = 0u64;
-        let mut cooling_j = 0.0; // watt-seconds
-        let mut it_j = 0.0;
-        let mut rh_violations = 0u64;
-        let mut rh_samples = 0u64;
-        let mut minutes = Vec::new();
-        // Ring of the last hour of per-sensor samples for the
-        // rate-of-change metric: `samples_per_hour` rows of `pods` inlets,
-        // the oldest row at `ring_head` once all rows are filled.
-        let samples_per_hour = (SECS_PER_HOUR / self.cfg.sample_period.as_secs()) as usize;
-        let mut hour_ring = vec![0.0_f64; samples_per_hour * pods];
-        let mut ring_rows = 0usize;
-        let mut ring_head = 0usize;
-        let mut max_rate = 0.0_f64;
-        // The IT load only changes at compute ticks; it is rebuilt there and
-        // reused on every physics tick. Building it here too keeps a compute
-        // period that does not divide the warm-up start correct.
-        let mut it = ItLoad { pod_power: Vec::with_capacity(pods), active_fraction: 0.0 };
-        let mut it_total = refresh_it_load(&self.cluster, &mut it);
+        self.start_at(start, jobs);
 
         let cycles_before = self.cluster.total_power_cycles();
         let jobs_before = self.cluster.completed_jobs();
-        let mut fault_minutes = 0u64;
-        let sv_before = match &self.controller {
-            SimController::Supervised(sv) => sv.telemetry(),
-            _ => SupervisorTelemetry::default(),
-        };
+        let sv_before = self.supervisor_telemetry();
+        self.advance_until(midnight, None);
+        let mut acc = self.accumulator();
+        self.advance_until(end, Some(&mut acc));
+        let sv_after = self.supervisor_telemetry();
 
-        let mut t = start;
-        while t < end {
-            let in_day = t >= midnight;
+        let (out_lo, out_hi) = self.tmy.daily_extremes(day);
+        let record = DayRecord {
+            day,
+            sensor_min: acc.sensor_min,
+            sensor_max: acc.sensor_max,
+            violation_sum: acc.violation_sum,
+            readings: acc.readings,
+            cooling_kwh: acc.cooling_j / 3.6e6,
+            it_kwh: acc.it_j / 3.6e6,
+            max_rate_c_per_hour: acc.max_rate,
+            rh_violation_fraction: if acc.rh_samples == 0 {
+                0.0
+            } else {
+                acc.rh_violations as f64 / acc.rh_samples as f64
+            },
+            outside_range: (out_hi - out_lo).degrees(),
+            jobs_completed: self.cluster.completed_jobs() - jobs_before,
+            power_cycles: self.cluster.total_power_cycles() - cycles_before,
+            fault_minutes: acc.fault_minutes,
+            degraded_minutes: sv_after.degraded_minutes - sv_before.degraded_minutes,
+            failsafe_minutes: sv_after.failsafe_minutes - sv_before.failsafe_minutes,
+            fallback_transitions: sv_after.fallback_transitions - sv_before.fallback_transitions,
+            imputed_readings: sv_after.imputed_readings - sv_before.imputed_readings,
+        };
+        self.telemetry.emit_with(|| Event::DayEnd {
+            day,
+            violation_sum: record.violation_sum,
+            cooling_kwh: record.cooling_kwh,
+            it_kwh: record.it_kwh,
+        });
+        DayOutput { record, minutes: acc.minutes }
+    }
+
+    /// Replaces the pending jobs with `jobs` and moves the clock to `t`,
+    /// rebuilding the IT load there (so a compute period that does not
+    /// divide `t` still starts from the cluster's current load).
+    pub(crate) fn start_at(&mut self, t: SimTime, jobs: Vec<Job>) {
+        self.pending = jobs;
+        self.pending.sort_by_key(|j| j.submit);
+        self.next_job = 0;
+        self.t = t;
+        self.refresh_it_load();
+    }
+
+    /// Appends a later day's jobs to the pending list. They submit after
+    /// every job already pending, so the list stays sorted.
+    pub(crate) fn push_jobs(&mut self, mut jobs: Vec<Job>) {
+        jobs.sort_by_key(|j| j.submit);
+        self.pending.extend(jobs);
+    }
+
+    /// An empty accumulator sized for this simulation's sensors.
+    pub(crate) fn accumulator(&self) -> DayAccumulator {
+        DayAccumulator::new(self.plant.pods(), self.cfg.sample_period)
+    }
+
+    /// Time of the next tick.
+    pub(crate) fn now(&self) -> SimTime {
+        self.t
+    }
+
+    /// Sets the Baseline arm's TKS setpoint and the number of servers it
+    /// keeps active (an episode's action).
+    pub(crate) fn set_baseline_action(&mut self, setpoint: Celsius, active_servers: usize) {
+        if let SimController::Baseline(tks) = &mut self.controller {
+            tks.set_setpoint(setpoint);
+        }
+        self.active_target = active_servers;
+    }
+
+    /// The tick loop: runs every physics tick from the current time up to
+    /// (not including) `until`. Per tick, in order: compute management,
+    /// sensing and control, metrics, energy, actuator faults, plant step.
+    /// The metrics and energy go to `acc`; with `None` (warm-up) nothing is
+    /// recorded. Controllers sense through the fault layer, and only when
+    /// they consume the reading; the metrics sample the plant's ground
+    /// truth.
+    pub(crate) fn advance_until(&mut self, until: SimTime, mut acc: Option<&mut DayAccumulator>) {
+        while self.t < until {
+            let t = self.t;
 
             // --- compute management -----------------------------------------
             if (t % self.cfg.compute_period).is_zero() {
@@ -359,9 +552,9 @@ impl<P: Container> Simulation<P> {
                 match &mut self.controller {
                     SimController::Baseline(_) => {
                         // The baseline does no energy management: every
-                        // server stays active.
-                        let total = self.cluster.config().total_servers;
-                        self.cluster.set_active_target(total, None);
+                        // server stays active unless an episode's action
+                        // sets another target.
+                        self.cluster.set_active_target(self.active_target, None);
                     }
                     SimController::CoolAir(ca) => {
                         let demand = self.cluster.demand(t);
@@ -377,13 +570,15 @@ impl<P: Container> Simulation<P> {
                     }
                 }
                 self.cluster.step(t, self.cfg.compute_period);
-                it_total = refresh_it_load(&self.cluster, &mut it);
+                self.refresh_it_load();
             }
 
             // --- sensing & control --------------------------------------------
-            // Controllers sense through the fault layer; only the metrics
-            // below sample the plant's ground truth.
-            if (t % self.cfg.observe_period).is_zero() {
+            // The TKS observes nothing between its decisions, so only
+            // CoolAir's model step senses here.
+            if (t % self.cfg.observe_period).is_zero()
+                && !matches!(self.controller, SimController::Baseline(_))
+            {
                 let readings = self.controller_readings(t);
                 match &mut self.controller {
                     SimController::Baseline(_) => {}
@@ -426,64 +621,14 @@ impl<P: Container> Simulation<P> {
                 }
             }
 
-            // --- metrics -------------------------------------------------------
-            if in_day && (t % self.cfg.sample_period).is_zero() {
-                let readings = self.plant.readings(t);
-                for (i, v) in readings.pod_inlets.iter().map(|c| c.value()).enumerate() {
-                    sensor_min[i] = sensor_min[i].min(v);
-                    sensor_max[i] = sensor_max[i].max(v);
-                    violation_sum += (v - self.cfg.desired_max.value()).max(0.0);
-                    readings_count += 1;
+            // --- metrics and energy ------------------------------------------
+            if let Some(acc) = acc.as_deref_mut() {
+                if (t % self.cfg.sample_period).is_zero() {
+                    self.sample_metrics(t, acc);
                 }
-                if readings.cold_aisle_rh.percent() > 80.0 {
-                    rh_violations += 1;
-                }
-                rh_samples += 1;
-                if self.faults.any_active(t) {
-                    fault_minutes += 1;
-                }
-                if self.telemetry.enabled() {
-                    for c in &readings.pod_inlets {
-                        self.telemetry.observe("inlet_c", c.value(), &TEMP_BOUNDS_C);
-                    }
-                    // Fault-window edge detection, at metrics resolution.
-                    for (i, w) in self.faults.windows().iter().enumerate() {
-                        let active = w.covers(t);
-                        if active != self.fault_active[i] {
-                            self.fault_active[i] = active;
-                            let kind = w.kind.to_string();
-                            self.telemetry.emit(if active {
-                                Event::FaultActivated { time: t, kind }
-                            } else {
-                                Event::FaultCleared { time: t, kind }
-                            });
-                        }
-                    }
-                }
-                // Overwrite the oldest row once the hour is full, comparing
-                // each sensor against its value an hour ago first.
-                let row = if ring_rows == samples_per_hour {
-                    let row = ring_head;
-                    ring_head = (ring_head + 1) % samples_per_hour;
-                    let old = &hour_ring[row * pods..(row + 1) * pods];
-                    for (a, b) in old.iter().zip(&readings.pod_inlets) {
-                        max_rate = max_rate.max((b.value() - a).abs());
-                    }
-                    row
-                } else {
-                    ring_rows += 1;
-                    ring_rows - 1
-                };
-                for (slot, c) in hour_ring[row * pods..(row + 1) * pods]
-                    .iter_mut()
-                    .zip(&readings.pod_inlets)
-                {
-                    *slot = c.value();
-                }
-
-                if self.cfg.record_minutes {
-                    minutes.push(self.minute_sample(t, &readings));
-                }
+                let dt_s = self.cfg.physics_step.as_secs() as f64;
+                acc.cooling_j += self.plant.cooling_power().value() * dt_s;
+                acc.it_j += self.it_total.value() * dt_s;
             }
 
             // --- physics ---------------------------------------------------------
@@ -491,61 +636,66 @@ impl<P: Container> Simulation<P> {
                 temperature: self.tmy.temperature_at(t),
                 abs_humidity: self.tmy.absolute_humidity_at(t),
             };
-            if in_day {
-                let dt_s = self.cfg.physics_step.as_secs() as f64;
-                cooling_j += self.plant.cooling_power().value() * dt_s;
-                it_j += it_total.value() * dt_s;
-            }
             // Actuator faults sit between command and plant: the controller
             // believes `self.regime` is in force, the hardware does this.
             let actual = self.faults.apply_actuator(t, self.regime);
             {
                 let _step_scope = self.telemetry.time_scope("plant.step");
-                self.plant.step(self.cfg.physics_step, outside, &it, actual);
+                self.plant.step(self.cfg.physics_step, outside, &self.it, actual);
             }
-            t += self.cfg.physics_step;
+            self.t += self.cfg.physics_step;
         }
+    }
 
-        let sv_after = match &self.controller {
+    /// One metrics sample of the plant's ground truth into `acc`, plus its
+    /// telemetry.
+    fn sample_metrics(&mut self, t: SimTime, acc: &mut DayAccumulator) {
+        let readings = self.plant.readings(t);
+        acc.sample(&readings, self.cfg.desired_max, self.faults.any_active(t));
+        if self.telemetry.enabled() {
+            for c in &readings.pod_inlets {
+                self.telemetry.observe("inlet_c", c.value(), &TEMP_BOUNDS_C);
+            }
+            // Fault-window edge detection, at metrics resolution.
+            for (i, w) in self.faults.windows().iter().enumerate() {
+                let active = w.covers(t);
+                if active != self.fault_active[i] {
+                    self.fault_active[i] = active;
+                    let kind = w.kind.to_string();
+                    self.telemetry.emit(if active {
+                        Event::FaultActivated { time: t, kind }
+                    } else {
+                        Event::FaultCleared { time: t, kind }
+                    });
+                }
+            }
+        }
+        if self.cfg.record_minutes {
+            acc.minutes.push(self.minute_sample(t, &readings));
+        }
+    }
+
+    /// Rebuilds the IT load from the cluster's current server states in
+    /// place (no allocation once it has its pod count). The cluster changes
+    /// only at compute ticks, so the tick loop calls this right after
+    /// `Cluster::step` and reuses the load on every physics tick between.
+    fn refresh_it_load(&mut self) {
+        self.cluster.write_pod_power(&mut self.it.pod_power);
+        self.it.active_fraction = self.cluster.active_fraction();
+        self.it_total = self.it.total();
+    }
+
+    fn supervisor_telemetry(&self) -> SupervisorTelemetry {
+        match &self.controller {
             SimController::Supervised(sv) => sv.telemetry(),
             _ => SupervisorTelemetry::default(),
-        };
-        let (out_lo, out_hi) = self.tmy.daily_extremes(day);
-        let record = DayRecord {
-            day,
-            sensor_min,
-            sensor_max,
-            violation_sum,
-            readings: readings_count,
-            cooling_kwh: cooling_j / 3.6e6,
-            it_kwh: it_j / 3.6e6,
-            max_rate_c_per_hour: max_rate,
-            rh_violation_fraction: if rh_samples == 0 {
-                0.0
-            } else {
-                rh_violations as f64 / rh_samples as f64
-            },
-            outside_range: (out_hi - out_lo).degrees(),
-            jobs_completed: self.cluster.completed_jobs() - jobs_before,
-            power_cycles: self.cluster.total_power_cycles() - cycles_before,
-            fault_minutes,
-            degraded_minutes: sv_after.degraded_minutes - sv_before.degraded_minutes,
-            failsafe_minutes: sv_after.failsafe_minutes - sv_before.failsafe_minutes,
-            fallback_transitions: sv_after.fallback_transitions - sv_before.fallback_transitions,
-            imputed_readings: sv_after.imputed_readings - sv_before.imputed_readings,
-        };
-        self.telemetry.emit_with(|| Event::DayEnd {
-            day,
-            violation_sum: record.violation_sum,
-            cooling_kwh: record.cooling_kwh,
-            it_kwh: record.it_kwh,
-        });
-        DayOutput { record, minutes }
+        }
     }
 
     /// What the controller senses: the plant truth passed through the fault
-    /// layer (a no-op under [`FaultPlan::none`]).
-    fn controller_readings(&mut self, t: SimTime) -> SensorReadings {
+    /// layer (a no-op under [`FaultPlan::none`]). Advances the fault
+    /// layer's stale-hold buffer, so call it only for a consumer.
+    pub(crate) fn controller_readings(&mut self, t: SimTime) -> SensorReadings {
         let truth = self.plant.readings(t);
         self.faults.corrupt_readings(truth, &mut self.stale_inlets)
     }
@@ -630,6 +780,39 @@ mod tests {
             tmy,
             SimConfig { record_minutes, ..SimConfig::default() },
         )
+    }
+
+    #[test]
+    fn validate_accepts_the_default_config() {
+        assert_eq!(SimConfig::default().validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_each_zero_period() {
+        type Field = fn(&mut SimConfig) -> &mut SimDuration;
+        let fields: [(&str, Field); 5] = [
+            ("physics_step", |c| &mut c.physics_step),
+            ("sample_period", |c| &mut c.sample_period),
+            ("observe_period", |c| &mut c.observe_period),
+            ("baseline_control", |c| &mut c.baseline_control),
+            ("compute_period", |c| &mut c.compute_period),
+        ];
+        for (name, field) in fields {
+            let mut cfg = SimConfig::default();
+            *field(&mut cfg) = SimDuration::ZERO;
+            let err = cfg.validate().expect_err(name);
+            assert_eq!(err, format!("{name} must be positive"));
+        }
+    }
+
+    #[test]
+    fn validate_rejects_a_sample_period_over_an_hour() {
+        let mut cfg =
+            SimConfig { sample_period: SimDuration::from_hours(1), ..SimConfig::default() };
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.sample_period = SimDuration::from_hours(2);
+        let err = cfg.validate().expect_err("2 h sample period");
+        assert!(err.contains("sample_period (7200 s) must be at most one hour"), "{err}");
     }
 
     #[test]

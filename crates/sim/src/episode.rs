@@ -7,20 +7,20 @@
 //! trace, trace seed), a base [`AnnualConfig`], the calendar span, and the
 //! decision period — and has a stable content digest, which is what makes
 //! daemon-side episode creation idempotent (`POST /episodes` keys the
-//! registry by it). An [`Episode`] owns the same physics loop as
-//! [`crate::Simulation::run_day`] — plant, cluster, TMY weather, fault
-//! layer — but hands the *policy* decisions to the caller: each
-//! [`Episode::step`] applies an [`Action`] (a TKS setpoint plus an
-//! active-server target), advances one decision window, and returns the
-//! next [`Observation`] and the window's [`Reward`].
+//! registry by it). An [`Episode`] is glue over a Baseline
+//! [`crate::Simulation`] — the same tick loop as
+//! [`crate::Simulation::run_day`] — that hands the *policy* decisions to
+//! the caller: each [`Episode::step`] applies an [`Action`] (a TKS setpoint
+//! plus an active-server target), advances the loop one decision window,
+//! and returns the next [`Observation`] and the window's [`Reward`].
 //!
-//! Actuation goes through a persistent [`TksController`]: the action sets
-//! its setpoint and the TKS's own mode/compressor hysteresis picks the
-//! cooling regime at the baseline control cadence, so a policy that always
-//! outputs 30 °C and every server active reproduces the paper's baseline
-//! behaviour. The controller (and the episode's observations) sense through
-//! the fault layer; the reward samples the plant's ground truth, exactly
-//! like the engine's metrics pass.
+//! Actuation goes through the simulation's persistent [`TksController`]:
+//! the action sets its setpoint and the TKS's own mode/compressor
+//! hysteresis picks the cooling regime at the baseline control cadence, so
+//! a policy that always outputs 30 °C and every server active reproduces
+//! the paper's baseline behaviour bit for bit. The controller (and the
+//! episode's observations) sense through the fault layer; the reward is the
+//! window's metrics accumulator, which samples the plant's ground truth.
 //!
 //! Determinism: an episode is a pure function of its spec and the action
 //! sequence. The observation is computed once per step boundary and cached
@@ -30,18 +30,14 @@
 //! daemon.
 
 use coolair_runner::{stable_digest, Digest};
-use coolair_thermal::{
-    CoolingRegime, Infrastructure, ItLoad, OutsideConditions, Plant, PlantConfig, SensorReadings,
-    TksConfig, TksController,
-};
-use coolair_units::{Celsius, SimDuration, SimTime, Watts, SECS_PER_HOUR};
+use coolair_thermal::{CoolingRegime, TksConfig, TksController};
+use coolair_units::{Celsius, SimDuration, SimTime, SECS_PER_HOUR};
 use coolair_weather::{Location, TmySeries};
-use coolair_workload::{Cluster, ClusterConfig, Job, Trace};
+use coolair_workload::{ClusterConfig, Trace};
 use serde::{Deserialize, Serialize};
 
 use crate::annual::{build_trace, AnnualConfig};
-use crate::engine::refresh_it_load;
-use crate::faults::FaultPlan;
+use crate::engine::{DayAccumulator, SimController, Simulation};
 use crate::scenario::Scenario;
 
 /// Lexicographic comparison slack, matching the tuner's score discipline.
@@ -143,6 +139,9 @@ impl EpisodeSpec {
                 self.start_day + self.horizon_days
             ));
         }
+        if let Err(e) = self.annual.engine.validate() {
+            problems.push(format!("engine: {e}"));
+        }
         let step = self.annual.engine.physics_step.as_secs();
         let period = self.decision_period.as_secs();
         if period == 0 || step == 0 || !period.is_multiple_of(step) {
@@ -161,7 +160,7 @@ impl EpisodeSpec {
 
 /// What the policy senses at a step boundary — the fault-corrupted sensor
 /// view a real controller would see, flattened to plain numbers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Observation {
     /// Simulation time of the observation.
     pub time: SimTime,
@@ -269,26 +268,9 @@ pub struct StepResult {
 #[derive(Debug)]
 pub struct Episode {
     spec: EpisodeSpec,
-    engine: crate::SimConfig,
-    desired_max: Celsius,
-    plant: Plant,
-    cluster: Cluster,
-    tks: TksController,
-    tmy: TmySeries,
+    sim: Simulation,
     trace: Trace,
-    faults: FaultPlan,
-    stale_inlets: Vec<Celsius>,
-    regime: CoolingRegime,
-    pending: Vec<Job>,
-    next_job: usize,
     jobs_loaded_through: u64,
-    active_target: usize,
-    /// The cluster's IT load and its total, rebuilt at each compute tick
-    /// and reused on the physics ticks between (decision windows need not
-    /// align with compute periods, so the cache outlives one window).
-    it: ItLoad,
-    it_total: Watts,
-    t: SimTime,
     end: SimTime,
     step_index: u64,
     done: bool,
@@ -312,78 +294,29 @@ impl Episode {
         let cfg = spec.effective_annual();
         let tmy = TmySeries::generate(&spec.scenario.location, cfg.weather_seed);
         let trace = build_trace(spec.scenario.trace, &cfg);
-        let mut plant_config = match cfg.infrastructure {
-            Infrastructure::Parasol => PlantConfig::parasol(),
-            Infrastructure::Smooth => PlantConfig::smooth(),
-        };
-        plant_config.adiabatic_effectiveness = cfg.adiabatic;
-        if let Some(v) = cfg.ac_condenser_derate_per_c {
-            plant_config.ac_condenser_derate_per_c = v;
-        }
-        if let Some(v) = cfg.ac_latent_factor {
-            plant_config.ac_latent_factor = v;
-        }
-        let mut cluster_config = ClusterConfig::parasol();
-        if let Some(covering) = cfg.covering_count {
-            cluster_config.covering_count = covering.clamp(1, cluster_config.total_servers);
-        }
-        let total_servers = cluster_config.total_servers;
+        let tks = TksController::new(TksConfig::baseline());
+        let mut sim = cfg.simulation(SimController::Baseline(tks), tmy);
 
         let midnight = SimTime::from_days(spec.start_day);
         let warmup_start = SimTime::from_secs(
             midnight.as_secs().saturating_sub(cfg.engine.warmup_hours * SECS_PER_HOUR),
         );
-        let mut pending = trace.jobs_for_day(spec.start_day);
-        pending.sort_by_key(|j| j.submit);
-        let cluster = Cluster::new(cluster_config);
-        let mut it = ItLoad { pod_power: Vec::new(), active_fraction: 0.0 };
-        let it_total = refresh_it_load(&cluster, &mut it);
-
+        sim.start_at(warmup_start, trace.jobs_for_day(spec.start_day));
         let mut episode = Episode {
-            engine: cfg.engine.clone(),
-            desired_max: cfg.engine.desired_max,
-            plant: Plant::new(plant_config),
-            cluster,
-            tks: TksController::new(TksConfig::baseline()),
-            tmy,
+            spec: spec.clone(),
+            sim,
             trace,
-            faults: cfg.faults.clone(),
-            stale_inlets: Vec::new(),
-            regime: CoolingRegime::Closed,
-            pending,
-            next_job: 0,
             jobs_loaded_through: spec.start_day,
-            active_target: total_servers,
-            it,
-            it_total,
-            t: warmup_start,
             end: midnight + SimDuration::from_days(spec.horizon_days),
             step_index: 0,
             done: false,
             total: Reward::zero(),
             total_cooling_kwh: 0.0,
             total_it_kwh: 0.0,
-            last_obs: Observation {
-                time: warmup_start,
-                day_fraction: 0.0,
-                outside_temp_c: 0.0,
-                outside_rh_pct: 0.0,
-                max_inlet_c: 0.0,
-                mean_inlet_c: 0.0,
-                min_inlet_c: 0.0,
-                cold_aisle_rh_pct: 0.0,
-                regime_code: 0,
-                fan_pct: 0.0,
-                compressor_pct: 0.0,
-                cooling_w: 0.0,
-                it_w: 0.0,
-                active_fraction: 0.0,
-                demand_fraction: 0.0,
-            },
-            spec: spec.clone(),
+            last_obs: Observation::default(),
         };
         // Warm-up: baseline action, no reward recorded.
-        let (_v, _c, _i) = episode.advance_to(midnight, false);
+        episode.advance(midnight, None);
         episode.last_obs = episode.observe_now();
         Ok(episode)
     }
@@ -435,13 +368,13 @@ impl Episode {
     /// floor.
     #[must_use]
     pub fn covering_servers(&self) -> usize {
-        self.cluster.config().covering_count
+        self.sim.cluster().config().covering_count
     }
 
     /// Total server count — the action's active-server ceiling.
     #[must_use]
     pub fn total_servers(&self) -> usize {
-        self.cluster.config().total_servers
+        self.sim.cluster().config().total_servers
     }
 
     /// Applies `action` for one decision window and advances the loop,
@@ -455,106 +388,57 @@ impl Episode {
             return Err("episode is done".to_string());
         }
         let (lo, hi) = SETPOINT_RANGE_C;
-        self.tks.set_setpoint(Celsius::new(action.setpoint_c.clamp(lo, hi)));
-        let covering = self.cluster.config().covering_count;
-        let total = self.cluster.config().total_servers;
-        self.active_target = action.active_servers.clamp(covering.max(1), total);
+        let setpoint = Celsius::new(action.setpoint_c.clamp(lo, hi));
+        let active =
+            action.active_servers.clamp(self.covering_servers().max(1), self.total_servers());
+        self.sim.set_baseline_action(setpoint, active);
 
+        let now = self.sim.now();
         let window_end =
-            SimTime::from_secs((self.t + self.spec.decision_period).as_secs().min(self.end.as_secs()));
-        let (violation_cmin, cooling_kwh, it_kwh) = self.advance_to(window_end, true);
+            SimTime::from_secs((now + self.spec.decision_period).as_secs().min(self.end.as_secs()));
+        let mut acc = self.sim.accumulator();
+        self.advance(window_end, Some(&mut acc));
 
-        let reward = Reward { violation_cmin, energy_kwh: cooling_kwh + it_kwh };
+        let (cooling_kwh, it_kwh) = (acc.cooling_kwh(), acc.it_kwh());
+        let reward =
+            Reward { violation_cmin: acc.violation_sum(), energy_kwh: cooling_kwh + it_kwh };
         self.total.accumulate(&reward);
         self.total_cooling_kwh += cooling_kwh;
         self.total_it_kwh += it_kwh;
         let step = self.step_index;
         self.step_index += 1;
-        self.done = self.t >= self.end;
+        self.done = self.sim.now() >= self.end;
         self.last_obs = self.observe_now();
         Ok(StepResult { step, observation: self.last_obs.clone(), reward, done: self.done })
     }
 
-    /// Advances the physics loop to `until`, mirroring
-    /// [`crate::Simulation::run_day`]'s per-tick order (compute management →
-    /// sensing/control → metrics → energy → actuator faults → plant step).
-    /// Returns the recorded (violation °C·min, cooling kWh, IT kWh); all
-    /// zero when `record` is false (warm-up).
-    fn advance_to(&mut self, until: SimTime, record: bool) -> (f64, f64, f64) {
-        let mut violation = 0.0;
-        let mut cooling_j = 0.0;
-        let mut it_j = 0.0;
-        let day = SimDuration::from_days(1);
-        while self.t < until {
-            let t = self.t;
-            // Crossing a midnight inside the horizon loads that day's jobs.
-            if (t % day).is_zero() {
-                let day_index = t.as_secs() / day.as_secs();
-                if day_index > self.jobs_loaded_through
-                    && day_index < self.spec.start_day + self.spec.horizon_days
-                {
-                    self.jobs_loaded_through = day_index;
-                    let mut jobs = self.trace.jobs_for_day(day_index);
-                    jobs.sort_by_key(|j| j.submit);
-                    // Later days only submit later, so the pending list
-                    // stays sorted and `next_job` stays valid.
-                    self.pending.extend(jobs);
-                }
+    /// Runs the simulation's tick loop to `until`, loading each later
+    /// horizon day's jobs when the clock lands on its midnight.
+    fn advance(&mut self, until: SimTime, mut acc: Option<&mut DayAccumulator>) {
+        loop {
+            let now = self.sim.now();
+            let day = now.day_index();
+            if now.is_midnight()
+                && day > self.jobs_loaded_through
+                && day < self.spec.start_day + self.spec.horizon_days
+            {
+                self.jobs_loaded_through = day;
+                self.sim.push_jobs(self.trace.jobs_for_day(day));
             }
-
-            if (t % self.engine.compute_period).is_zero() {
-                while self.next_job < self.pending.len()
-                    && self.pending[self.next_job].submit <= t
-                {
-                    let job = self.pending[self.next_job].clone();
-                    self.next_job += 1;
-                    let earliest = job.submit;
-                    self.cluster.submit_with_start(job, earliest);
-                }
-                self.cluster.set_active_target(self.active_target, None);
-                self.cluster.step(t, self.engine.compute_period);
-                self.it_total = refresh_it_load(&self.cluster, &mut self.it);
+            if now >= until {
+                return;
             }
-
-            if (t % self.engine.baseline_control).is_zero() {
-                let readings = self.corrupted_readings(t);
-                self.regime = self.tks.decide(&readings);
-            }
-
-            if record && (t % self.engine.sample_period).is_zero() {
-                let truth = self.plant.readings(t);
-                for inlet in &truth.pod_inlets {
-                    violation += (inlet.value() - self.desired_max.value()).max(0.0);
-                }
-            }
-
-            let outside = OutsideConditions {
-                temperature: self.tmy.temperature_at(t),
-                abs_humidity: self.tmy.absolute_humidity_at(t),
-            };
-            if record {
-                let dt_s = self.engine.physics_step.as_secs() as f64;
-                cooling_j += self.plant.cooling_power().value() * dt_s;
-                it_j += self.it_total.value() * dt_s;
-            }
-            let actual = self.faults.apply_actuator(t, self.regime);
-            self.plant.step(self.engine.physics_step, outside, &self.it, actual);
-            self.t += self.engine.physics_step;
+            self.sim.advance_until(now.next_midnight().min(until), acc.as_deref_mut());
         }
-        (violation, cooling_j / 3.6e6, it_j / 3.6e6)
     }
 
-    /// The fault-corrupted sensor view at the current time (advances the
-    /// fault layer's stale-sensor memory — call once per boundary).
-    fn corrupted_readings(&mut self, t: SimTime) -> SensorReadings {
-        let truth = self.plant.readings(t);
-        self.faults.corrupt_readings(truth, &mut self.stale_inlets)
-    }
-
+    /// The fault-corrupted observation at the current time. Senses through
+    /// the fault layer, so it is called once per decision boundary and
+    /// cached.
     fn observe_now(&mut self) -> Observation {
-        let t = self.t;
-        let r = self.corrupted_readings(t);
-        let total = self.cluster.config().total_servers as f64;
+        let t = self.sim.now();
+        let r = self.sim.controller_readings(t);
+        let cluster = self.sim.cluster();
         let regime_code = match r.regime {
             CoolingRegime::Closed => 0,
             CoolingRegime::FreeCooling { .. } => 1,
@@ -576,7 +460,7 @@ impl Episode {
             cooling_w: r.cooling_power.value(),
             it_w: r.it_power.value(),
             active_fraction: r.active_fraction,
-            demand_fraction: self.cluster.demand(t) as f64 / total,
+            demand_fraction: cluster.demand(t) as f64 / cluster.config().total_servers as f64,
         }
     }
 }
@@ -640,6 +524,10 @@ mod tests {
         let mut spec = EpisodeSpec::nominal(Location::newark());
         spec.decision_period = SimDuration::from_secs(20); // not a 15 s multiple
         assert!(spec.validate().is_err());
+        let mut spec = EpisodeSpec::nominal(Location::newark());
+        spec.annual.engine.sample_period = SimDuration::from_hours(2);
+        let err = spec.validate().expect_err("engine is validated");
+        assert!(err.contains("engine: sample_period"), "{err}");
         assert!(EpisodeSpec::nominal(Location::newark()).validate().is_ok());
     }
 

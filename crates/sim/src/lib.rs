@@ -45,7 +45,6 @@ mod fidelity;
 pub mod jobs;
 mod metrics;
 mod model_plant;
-mod multizone;
 mod reliability;
 mod scenario;
 mod validate;
@@ -63,7 +62,6 @@ pub use faults::{
 };
 pub use fidelity::{day_fidelity, FidelityReport, FidelitySystem};
 pub use model_plant::ModelPlant;
-pub use multizone::{MultiZone, MultiZoneReport, ZoneSpec};
 pub use reliability::{disk_reliability, ReliabilityParams, ReliabilityReport};
 pub use scenario::Scenario;
 pub use metrics::{AnnualSummary, DayRecord, POWER_DELIVERY_PUE};

@@ -277,29 +277,6 @@ impl PlantBank {
         self.hot_aisle[lane] = temp.value() + 5.0;
     }
 
-    /// Advances every lane by `dt` in one batched pass over the bank's
-    /// arrays. Slices are indexed per lane: `outside[i]`, `it[i]` and
-    /// `commanded[i]` drive lane `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slice length differs from the lane count, or any
-    /// lane's `pod_power` arity differs from the pod count.
-    pub fn step_all(
-        &mut self,
-        dt: SimDuration,
-        outside: &[OutsideConditions],
-        it: &[ItLoad],
-        commanded: &[CoolingRegime],
-    ) {
-        assert_eq!(outside.len(), self.lanes, "outside arity mismatch");
-        assert_eq!(it.len(), self.lanes, "it load arity mismatch");
-        assert_eq!(commanded.len(), self.lanes, "command arity mismatch");
-        for lane in 0..self.lanes {
-            self.step_lane(lane, dt, outside[lane], &it[lane], commanded[lane]);
-        }
-    }
-
     /// Advances one lane's physics by `dt` under `commanded` cooling and
     /// the given outside conditions and IT load.
     ///
@@ -939,7 +916,7 @@ mod tests {
     #[test]
     fn bank_lanes_are_bit_identical_to_independent_plants() {
         // Three lanes under three different climates/loads/regimes, stepped
-        // via step_all, must match three independent Plants bit for bit.
+        // lane by lane, must match three independent Plants bit for bit.
         let conditions =
             [outside(5.0, 60.0), outside(25.0, 50.0), outside(38.0, 80.0)];
         let loads = [
@@ -960,8 +937,8 @@ mod tests {
             let r = step / 100;
             let cmds: Vec<CoolingRegime> =
                 (0..3).map(|i| regimes[(i + r) % 3]).collect();
-            bank.step_all(DT, &conditions, &loads, &cmds);
             for (i, plant) in plants.iter_mut().enumerate() {
+                bank.step_lane(i, DT, conditions[i], &loads[i], cmds[i]);
                 plant.step(DT, conditions[i], &loads[i], cmds[i]);
             }
         }
@@ -986,13 +963,5 @@ mod tests {
         let r1 = bank.readings_lane(1, SimTime::EPOCH);
         assert!((r1.mean_inlet().value() - 31.0).abs() < 1e-9);
         assert!((r0.mean_inlet().value() - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside arity mismatch")]
-    fn bank_rejects_wrong_lane_count() {
-        let mut bank = PlantBank::new(PlantConfig::parasol(), 2);
-        let it = vec![load_27pct(); 2];
-        bank.step_all(DT, &[outside(20.0, 50.0)], &it, &[CoolingRegime::Closed; 2]);
     }
 }

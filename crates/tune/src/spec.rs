@@ -162,6 +162,9 @@ impl TuneSpec {
         if !(self.energy_slack.is_finite() && self.energy_slack >= 0.0) {
             problems.push(format!("energy_slack {} must be finite and >= 0", self.energy_slack));
         }
+        if let Err(e) = self.annual.engine.validate() {
+            problems.push(format!("engine: {e}"));
+        }
         if problems.is_empty() {
             Ok(())
         } else {
@@ -202,8 +205,10 @@ mod tests {
         let mut spec = TuneSpec::smoke(1);
         spec.rounds = 0;
         spec.candidates.clear();
+        spec.annual.engine.physics_step = Default::default();
         let err = spec.validate().unwrap_err();
         assert!(err.contains("rounds"), "{err}");
         assert!(err.contains("candidate"), "{err}");
+        assert!(err.contains("engine: physics_step"), "{err}");
     }
 }

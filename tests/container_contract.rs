@@ -166,7 +166,9 @@ fn plant_bank_lanes_match_their_snapshots() {
         let commands: Vec<CoolingRegime> = (0..3)
             .map(|lane| regimes[(step + 40 * lane) % regimes.len()])
             .collect();
-        bank.step_all(DT, &weather, &loads, &commands);
+        for (lane, it) in loads.iter().enumerate() {
+            bank.step_lane(lane, DT, weather[lane], it, commands[lane]);
+        }
         for (lane, it) in loads.iter().enumerate() {
             let readings = bank.readings_lane(lane, SimTime::EPOCH);
             assert_snapshot_agrees(

@@ -14,9 +14,9 @@
 
 use coolair_suite::core::Version;
 use coolair_suite::sim::{
-    run_days_loaded, train_for_location, Action, ActuatorFault, AnnualConfig, AnnualSummary,
-    DayOutput, DayRecord, Episode, EpisodeSpec, FaultKind, FaultSpec, FaultWindow, MinuteSample,
-    SensorFault, SimConfig, SimController, Simulation, StepResult, SystemSpec,
+    run_days_loaded, run_days_traced, train_for_location, Action, ActuatorFault, AnnualConfig,
+    AnnualSummary, DayOutput, DayRecord, Episode, EpisodeSpec, FaultKind, FaultSpec, FaultWindow,
+    MinuteSample, SensorFault, SimConfig, SimController, Simulation, StepResult, SystemSpec,
 };
 use coolair_suite::telemetry::Telemetry;
 use coolair_suite::thermal::{Infrastructure, PlantConfig, TksConfig, TksController};
@@ -374,6 +374,68 @@ fn episode_trajectory_matches_recorded_bits() {
         "episode trajectory drifted:\n{}",
         report.join("\n")
     );
+}
+
+#[test]
+fn day_long_baseline_episode_is_the_baseline_day() {
+    // One window spanning the whole day under the baseline action is the
+    // Baseline `run_day` of that day: the same tick loop, sensing on the
+    // same cadence. Under a dropout the TKS acts on held values, so the
+    // drills also pin which readings refresh the stale-hold buffer: only
+    // the ones a consumer senses.
+    let total_dropout = FaultSpec {
+        seed: 7,
+        severity: 0.0,
+        extra: (0..4)
+            .map(|pod| FaultWindow {
+                start: SimTime::from_secs(150 * 86_400 + 6 * 3_600),
+                end: SimTime::from_secs(150 * 86_400 + 12 * 3_600),
+                kind: FaultKind::Sensor {
+                    pod,
+                    fault: SensorFault::Dropout,
+                },
+            })
+            .collect(),
+    };
+    for (name, fault) in [
+        ("fault-free", FaultSpec::none()),
+        ("ladder", ladder_spec(150)),
+        ("total dropout", total_dropout),
+    ] {
+        let mut spec = EpisodeSpec {
+            decision_period: SimDuration::from_hours(24),
+            ..EpisodeSpec::nominal(Location::newark())
+        };
+        spec.scenario.fault = fault;
+        let mut ep = Episode::new(&spec).expect("valid spec");
+        let step = ep.step(&Action::baseline(ep.total_servers())).expect("not done");
+        assert!(step.done, "{name}: one window spans the day");
+
+        let summary = run_days_traced(
+            &SystemSpec::Baseline,
+            &spec.scenario.location,
+            spec.scenario.trace,
+            &spec.effective_annual(),
+            None,
+            &spec.days(),
+            Telemetry::disabled(),
+        );
+        let day = &summary.days()[0];
+        if name != "fault-free" {
+            assert!(summary.fault_minutes() > 0, "{name}: the drill must be active");
+        }
+        for (what, episode, run_day) in [
+            ("violation", step.reward.violation_cmin, day.violation_sum),
+            ("cooling kWh", ep.cooling_kwh(), day.cooling_kwh),
+            ("IT kWh", ep.it_kwh(), day.it_kwh),
+        ] {
+            assert_eq!(
+                episode.to_bits(),
+                run_day.to_bits(),
+                "{name}: {what} {episode} (episode) vs {run_day} (run_day)"
+            );
+        }
+    }
 }
 
 const GOLDEN_CHAD_SMOOTH: u64 = 0xd762_5a2f_40ad_367a;
